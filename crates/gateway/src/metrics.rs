@@ -144,8 +144,9 @@ impl Histogram {
     }
 
     /// The upper bound (exclusive, µs) of the bucket holding the given
-    /// quantile — a conservative estimate: the true latency is at most
-    /// this. `None` when empty.
+    /// quantile, clamped to the largest recorded latency — a
+    /// conservative estimate: the true latency is at most this. `None`
+    /// when empty.
     pub fn quantile_us(&self, q: f64) -> Option<u64> {
         let counts: Vec<u64> = self
             .buckets
@@ -158,13 +159,15 @@ impl Histogram {
         }
         let rank = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0u64;
+        let mut bound = u64::MAX;
         for (i, &c) in counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(1u64 << (i + 1));
+                bound = 1u64 << (i + 1);
+                break;
             }
         }
-        Some(u64::MAX)
+        Some(bound.min(self.max_us()))
     }
 
     /// Largest single recorded latency, µs.
@@ -408,9 +411,34 @@ mod tests {
         assert_eq!(h.max_us(), 1000);
         // p50 falls in the [2,4) bucket → conservative bound 4.
         assert_eq!(h.quantile_us(0.5), Some(4));
-        // p99 lands on the slowest sample's bucket [512, 1024) → 1024.
-        assert_eq!(h.quantile_us(0.99), Some(1024));
+        // p99 lands on the slowest sample's bucket [512, 1024), whose
+        // bound 1024 is clamped to the observed max.
+        assert_eq!(h.quantile_us(0.99), Some(1000));
         assert!(h.mean_us() > 0.0);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_observed_max() {
+        let h = Histogram::default();
+        // Mixed recordings: sub-bucket, mid-bucket and bucket-edge values.
+        for (i, us) in [0u64, 1, 2, 5, 77, 88_266, 131_071, 3, 600, 40_000]
+            .into_iter()
+            .enumerate()
+        {
+            h.record(Duration::from_micros(us));
+            let (p50, p99) = (h.quantile_us(0.5).unwrap(), h.quantile_us(0.99).unwrap());
+            assert!(
+                p50 <= p99 && p99 <= h.max_us(),
+                "after {} recordings: p50 {p50}, p99 {p99}, max {}",
+                i + 1,
+                h.max_us()
+            );
+        }
+        // A lone slow request reports its own latency, not the bound of
+        // its [65536, 131072) bucket.
+        let one = Histogram::default();
+        one.record(Duration::from_micros(88_266));
+        assert_eq!(one.quantile_us(0.5), Some(88_266));
     }
 
     #[test]

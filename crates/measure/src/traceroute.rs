@@ -208,9 +208,9 @@ pub fn deep_host(world: &World, asid: AsId, salt: u64) -> Ipv4Addr {
 pub struct CorpusPlan {
     /// Destination ASes in ascending order (the shard axis).
     dsts: Vec<AsId>,
-    /// Per-destination `(source, target address)` pairs, in planning
-    /// order.
-    plans: std::collections::HashMap<AsId, Vec<(AsId, Ipv4Addr)>>,
+    /// `(source, target address)` pairs per destination, aligned with
+    /// `dsts`, in planning order.
+    plans: Vec<Vec<(AsId, Ipv4Addr)>>,
 }
 
 impl CorpusPlan {
@@ -226,7 +226,7 @@ impl CorpusPlan {
 
     /// Total `(source, destination)` pairs scheduled.
     pub fn num_pairs(&self) -> usize {
-        self.plans.values().map(Vec::len).sum()
+        self.plans.iter().map(Vec::len).sum()
     }
 
     /// Traces the destinations in `range` (indices into the sorted
@@ -259,9 +259,9 @@ impl CorpusPlan {
         range: std::ops::Range<usize>,
     ) -> Vec<Traceroute> {
         let mut out = Vec::new();
-        for &dst in &self.dsts[range] {
+        for (&dst, plan) in self.dsts[range.clone()].iter().zip(&self.plans[range]) {
             let table = engine.oracle().routes_to(dst);
-            for (src, dst_addr) in &self.plans[&dst] {
+            for (src, dst_addr) in plan {
                 if let Some(tr) = engine.trace(&table, *src, *dst_addr) {
                     out.push(tr);
                 }
@@ -282,9 +282,9 @@ impl CorpusPlan {
 pub fn plan_corpus(world: &World, cfg: &CorpusConfig) -> CorpusPlan {
     let month = world.observation_month;
 
-    // Plan (src, dst_as, dst_addr) grouped by dst_as for table reuse.
-    use std::collections::HashMap;
-    let mut plans: HashMap<AsId, Vec<(AsId, Ipv4Addr)>> = HashMap::new();
+    // Plan (src, dst_addr) pairs grouped by destination AS, indexed by
+    // `AsId::index`, for table reuse.
+    let mut plans: Vec<Vec<(AsId, Ipv4Addr)>> = vec![Vec::new(); world.ases.len()];
 
     for (mi, m) in world.memberships.iter().enumerate() {
         if !m.active_at(month) {
@@ -309,13 +309,13 @@ pub fn plan_corpus(world: &World, cfg: &CorpusConfig) -> CorpusPlan {
             if k % 2 == 0 {
                 // Inbound: a co-member probes towards the covered member —
                 // its LAN interface shows up as an IXP crossing.
-                plans.entry(m.member).or_default().push((other, dst_addr));
+                plans[m.member.index()].push((other, dst_addr));
             } else {
                 // Outbound: the member probes a co-member — the member's
                 // border interface precedes the IXP address, the raw
                 // material of step 4's `{IPx, IPixp}` pairs.
                 let other_addr = deep_host(world, other, cfg.seed);
-                plans.entry(other).or_default().push((m.member, other_addr));
+                plans[other.index()].push((m.member, other_addr));
             }
         }
     }
@@ -337,12 +337,17 @@ pub fn plan_corpus(world: &World, cfg: &CorpusConfig) -> CorpusPlan {
                 continue;
             }
             let dst_addr = deep_host(world, dst, cfg.seed);
-            plans.entry(dst).or_default().push((src, dst_addr));
+            plans[dst.index()].push((src, dst_addr));
         }
     }
 
-    let mut dsts: Vec<AsId> = plans.keys().copied().collect();
-    dsts.sort();
+    // Destinations with a plan, in ascending id order.
+    let (dsts, plans) = plans
+        .into_iter()
+        .enumerate()
+        .filter(|(_, p)| !p.is_empty())
+        .map(|(i, p)| (AsId::from_index(i), p))
+        .unzip();
     CorpusPlan { dsts, plans }
 }
 

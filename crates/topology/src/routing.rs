@@ -19,7 +19,7 @@
 use crate::ids::*;
 use crate::world::{AccessTruth, IfaceKind, RouterLoc, World};
 use opeer_geo::GeoPoint;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// How a path enters the next AS.
@@ -54,37 +54,77 @@ pub struct RouteEntry {
     pub len: u32,
     /// Next hop AS (`None` at the destination itself).
     pub next: Option<AsId>,
-    /// Edge used towards the next hop.
+    /// Edge used towards the next hop: `Transit`, or `None` at the
+    /// destination and on peer routes, whose interconnect the oracle
+    /// resolves lazily on the paths it walks ([`RoutingOracle::as_path`],
+    /// [`RoutingOracle::trace_hops`]).
     pub via: Option<EdgeKind>,
 }
 
-/// All best routes towards one destination AS.
+/// All best routes towards one destination AS, stored densely by
+/// [`AsId::index`]. Peer entries carry no interconnect (see
+/// [`RouteEntry::via`]): the oracle resolves it when a path is walked.
 #[derive(Debug, Clone)]
 pub struct RouteTable {
     /// The destination.
     pub dst: AsId,
-    entries: HashMap<AsId, RouteEntry>,
+    /// Best route per AS, indexed by [`AsId::index`].
+    entries: Vec<Option<RouteEntry>>,
+    /// ASes holding a route, in the order they were first reached.
+    reached: Vec<AsId>,
 }
 
 impl RouteTable {
     /// The entry for `src`, if `src` can reach the destination.
     pub fn entry(&self, src: AsId) -> Option<&RouteEntry> {
-        self.entries.get(&src)
+        self.entries.get(src.index())?.as_ref()
     }
 
     /// Number of ASes that can reach the destination.
     pub fn reachable_count(&self) -> usize {
-        self.entries.len()
+        self.reached.len()
     }
 
-    /// Reconstructs the AS-level path `src → dst` with the edges used.
-    /// `hops[i].1` is the edge from `hops[i]` into `hops[i+1]`.
+    /// Installs `route` for `a` if `a` has no route yet or holds a
+    /// strictly longer one of the same class; a route of another class
+    /// came from an earlier, preferred wave and stays.
+    fn offer(&mut self, a: AsId, route: RouteEntry) -> bool {
+        let slot = &mut self.entries[a.index()];
+        match slot {
+            Some(e) if e.kind != route.kind || e.len <= route.len => false,
+            _ => {
+                if slot.is_none() {
+                    self.reached.push(a);
+                }
+                *slot = Some(route);
+                true
+            }
+        }
+    }
+
+    fn len_of(&self, a: AsId) -> u32 {
+        self.entries[a.index()]
+            .expect("reached ASes have a route")
+            .len
+    }
+
+    /// The ASes holding a route, sorted by `(path length, id)`.
+    fn by_len_then_id(&self) -> Vec<AsId> {
+        let mut v: Vec<(u32, AsId)> = self.reached.iter().map(|&a| (self.len_of(a), a)).collect();
+        v.sort_unstable();
+        v.into_iter().map(|(_, a)| a).collect()
+    }
+
+    /// Reconstructs the AS-level path `src → dst` with the edges stored
+    /// in the table. `hops[i].1` is the edge from `hops[i]` into
+    /// `hops[i+1]`; peer hops read `None` here, and
+    /// [`RoutingOracle::as_path`] resolves them.
     pub fn as_path(&self, src: AsId) -> Option<Vec<(AsId, Option<EdgeKind>)>> {
         let mut path = Vec::new();
         let mut cur = src;
         let mut guard = 0;
         loop {
-            let e = self.entries.get(&cur)?;
+            let e = self.entry(cur)?;
             path.push((cur, e.via));
             match e.next {
                 Some(n) => cur = n,
@@ -131,8 +171,9 @@ pub struct RoutingOracle<'w> {
     peers: Vec<Vec<AsId>>,
     /// Active IXPs per AS, sorted (intersection gives common IXPs fast).
     ixps_of: Vec<Vec<IxpId>>,
-    /// Private links per unordered AS pair.
-    pni_index: HashMap<(AsId, AsId), Vec<usize>>,
+    /// Private links per AS as `(other end, index into
+    /// [`World::private_links`])`, in link order.
+    pnis_of: Vec<Vec<(AsId, usize)>>,
     /// Reference point per AS for hot-potato decisions.
     as_points: Vec<GeoPoint>,
 }
@@ -152,10 +193,10 @@ impl<'w> RoutingOracle<'w> {
             v.sort();
             v.dedup();
         }
-        let mut pni_index: HashMap<(AsId, AsId), Vec<usize>> = HashMap::new();
+        let mut pnis_of: Vec<Vec<(AsId, usize)>> = vec![Vec::new(); world.ases.len()];
         for (i, l) in world.private_links.iter().enumerate() {
-            let key = (l.a.min(l.b), l.a.max(l.b));
-            pni_index.entry(key).or_default().push(i);
+            pnis_of[l.a.index()].push((l.b, i));
+            pnis_of[l.b.index()].push((l.a, i));
         }
         let as_points: Vec<GeoPoint> = (0..world.ases.len())
             .map(|i| {
@@ -196,7 +237,7 @@ impl<'w> RoutingOracle<'w> {
             policy_quirk_pct: 34,
             peers,
             ixps_of,
-            pni_index,
+            pnis_of,
             as_points,
         }
     }
@@ -234,9 +275,12 @@ impl<'w> RoutingOracle<'w> {
                 }
             }
         }
-        if let Some(links) = self.pni_index.get(&(x.min(y), x.max(y))) {
-            out.extend(links.iter().map(|&l| EdgeKind::Private(l)));
-        }
+        out.extend(
+            self.pnis_of[x.index()]
+                .iter()
+                .filter(|&&(other, _)| other == y)
+                .map(|&(_, l)| EdgeKind::Private(l)),
+        );
         out
     }
 
@@ -284,10 +328,17 @@ impl<'w> RoutingOracle<'w> {
     }
 
     /// Computes best routes from every AS towards `dst` (Gao–Rexford
-    /// three-wave construction).
+    /// three-wave construction). Ties go to the first route found (wave
+    /// 1 in BFS order, waves 2 and 3 from ASes sorted by `(path length,
+    /// id)`): only a strictly shorter route of the same class replaces an
+    /// installed one.
     pub fn routes_to(&self, dst: AsId) -> RouteTable {
-        let mut entries: HashMap<AsId, RouteEntry> = HashMap::new();
-        entries.insert(
+        let mut table = RouteTable {
+            dst,
+            entries: vec![None; self.world.ases.len()],
+            reached: Vec::new(),
+        };
+        table.offer(
             dst,
             RouteEntry {
                 kind: RouteKind::Customer,
@@ -298,112 +349,58 @@ impl<'w> RoutingOracle<'w> {
         );
 
         // Wave 1 — customer routes: BFS up the provider DAG from dst.
-        let mut queue = VecDeque::new();
-        queue.push_back(dst);
-        while let Some(x) = queue.pop_front() {
-            let xlen = entries[&x].len;
-            for &p in self.world.providers_of(x) {
-                let better = match entries.get(&p) {
-                    None => true,
-                    Some(e) => e.kind == RouteKind::Customer && xlen + 1 < e.len,
-                };
-                if better {
-                    entries.insert(
-                        p,
-                        RouteEntry {
-                            kind: RouteKind::Customer,
-                            len: xlen + 1,
-                            next: Some(x),
-                            via: Some(EdgeKind::Transit),
-                        },
-                    );
-                    queue.push_back(p);
-                }
-            }
-        }
+        self.flood(
+            &mut table,
+            [dst].into(),
+            RouteKind::Customer,
+            World::providers_of,
+        );
 
         // Wave 2 — peer routes: single peer hop into the customer cone.
-        // (Sorted for determinism: HashMap iteration order is random.)
-        let mut cone: Vec<(AsId, u32)> = entries.iter().map(|(&a, e)| (a, e.len)).collect();
-        cone.sort_by_key(|&(a, l)| (l, a));
-        for (y, ylen) in cone {
-            for x in self.peers_of(y).iter().copied() {
-                if entries
-                    .get(&x)
-                    .is_some_and(|e| e.kind == RouteKind::Customer)
-                {
-                    continue; // customer route wins
-                }
-                // The interconnect is picked lazily after the table settles:
-                // computing it per candidate dominated table construction.
-                let cand = RouteEntry {
+        for y in table.by_len_then_id() {
+            let len = table.len_of(y) + 1;
+            for &x in self.peers_of(y) {
+                let route = RouteEntry {
                     kind: RouteKind::Peer,
-                    len: ylen + 1,
+                    len,
                     next: Some(y),
                     via: None,
                 };
-                let replace = match entries.get(&x) {
-                    None => true,
-                    Some(e) => {
-                        cand.len < e.len
-                            || (cand.len == e.len && cand.next.map(|n| n.0) < e.next.map(|n| n.0))
-                    }
-                };
-                if replace {
-                    entries.insert(x, cand);
-                }
+                table.offer(x, route);
             }
         }
 
         // Wave 3 — provider routes: everything with a route advertises to
         // its customers; customers prefer the shortest.
-        // (Sorted seeding keeps tie-breaking deterministic.)
-        let mut seeds: Vec<AsId> = entries.keys().copied().collect();
-        seeds.sort_by_key(|a| (entries[a].len, *a));
-        let mut queue: VecDeque<AsId> = seeds.into();
+        let seeds = table.by_len_then_id().into();
+        self.flood(&mut table, seeds, RouteKind::Provider, World::customers_of);
+        table
+    }
+
+    /// A breadth-first wave over transit edges: each AS taken from
+    /// `queue` offers its route, one hop longer, to its `neighbours` as a
+    /// `kind` route, and every AS that installs it joins the queue.
+    fn flood(
+        &self,
+        table: &mut RouteTable,
+        mut queue: VecDeque<AsId>,
+        kind: RouteKind,
+        neighbours: fn(&World, AsId) -> &[AsId],
+    ) {
         while let Some(z) = queue.pop_front() {
-            let zlen = entries[&z].len;
-            for &c in self.world.customers_of(z) {
-                let better = match entries.get(&c) {
-                    None => true,
-                    Some(e) => e.kind == RouteKind::Provider && zlen + 1 < e.len,
+            let len = table.len_of(z) + 1;
+            for &n in neighbours(self.world, z) {
+                let route = RouteEntry {
+                    kind,
+                    len,
+                    next: Some(z),
+                    via: Some(EdgeKind::Transit),
                 };
-                if better {
-                    entries.insert(
-                        c,
-                        RouteEntry {
-                            kind: RouteKind::Provider,
-                            len: zlen + 1,
-                            next: Some(z),
-                            via: Some(EdgeKind::Transit),
-                        },
-                    );
-                    queue.push_back(c);
+                if table.offer(n, route) {
+                    queue.push_back(n);
                 }
             }
         }
-
-        // Fill peer-route interconnects now that winners are settled.
-        let peer_routes: Vec<(AsId, AsId)> = entries
-            .iter()
-            .filter(|(_, e)| e.kind == RouteKind::Peer)
-            .filter_map(|(&x, e)| e.next.map(|y| (x, y)))
-            .collect();
-        for (x, y) in peer_routes {
-            let via = self.pick_interconnect(x, y);
-            match via {
-                Some(v) => {
-                    entries.get_mut(&x).expect("entry exists").via = Some(v);
-                }
-                None => {
-                    // Defensive: adjacency came from peers_of, so an
-                    // interconnect must exist; drop the entry otherwise.
-                    entries.remove(&x);
-                }
-            }
-        }
-
-        RouteTable { dst, entries }
     }
 
     /// Peers of `y`: private-link neighbors plus open co-members at its
@@ -413,9 +410,24 @@ impl<'w> RoutingOracle<'w> {
         &self.peers[y.index()]
     }
 
-    /// AS-level path from `src` to `dst`.
+    /// AS-level path from `src` to `dst`, every edge resolved.
     pub fn as_path(&self, src: AsId, dst: AsId) -> Option<Vec<(AsId, Option<EdgeKind>)>> {
-        self.routes_to(dst).as_path(src)
+        self.resolved_path(&self.routes_to(dst), src)
+    }
+
+    /// `table.as_path(src)` with each peer hop's interconnect picked by
+    /// [`Self::pick_interconnect`], only along this one path.
+    fn resolved_path(
+        &self,
+        table: &RouteTable,
+        src: AsId,
+    ) -> Option<Vec<(AsId, Option<EdgeKind>)>> {
+        let mut path = table.as_path(src)?;
+        for i in 1..path.len() {
+            let (cur, next) = (path[i - 1].0, path[i].0);
+            path[i - 1].1 = path[i - 1].1.or_else(|| self.pick_interconnect(cur, next));
+        }
+        Some(path)
     }
 
     /// Expands an AS path to the traceroute hop sequence towards
@@ -429,7 +441,7 @@ impl<'w> RoutingOracle<'w> {
         dst_addr: Ipv4Addr,
     ) -> Option<Vec<TraceHop>> {
         let w = self.world;
-        let as_path = table.as_path(src)?;
+        let as_path = self.resolved_path(table, src)?;
         let mut hops: Vec<TraceHop> = Vec::new();
 
         // Source hop: the source AS's representative router.
@@ -663,11 +675,8 @@ mod tests {
         let oracle = RoutingOracle::new(&w);
         let dst = w.memberships[0].member;
         let table = oracle.routes_to(dst);
-        // Walk several sources; after the route leaves the "up" phase it
-        // must never go up again: kinds along the path must be
-        // monotonically... simpler: route kind of each suffix entry is
-        // non-increasing in preference as we near dst? Verify no provider
-        // edge follows a customer edge downstream.
+        // Walk several sources: once a path stops going up (provider
+        // routes) it must never go up again.
         let mut checked = 0;
         for src_idx in (0..w.ases.len()).step_by(7) {
             let src = AsId::from_index(src_idx);
@@ -705,29 +714,20 @@ mod tests {
         }
     }
 
+    /// Peer routes leave `via` unset and resolve it on demand, so every
+    /// peering adjacency (open IXP co-members, private links) must have
+    /// an interconnect to resolve to.
     #[test]
-    fn peer_edge_prefers_common_ixp() {
-        let w = world();
-        let oracle = RoutingOracle::new(&w).with_policy_quirk_pct(0);
-        // Find two open ASes sharing an IXP.
-        let mut found = false;
-        'outer: for m1 in &w.memberships {
-            for m2 in &w.memberships {
-                if m1.ixp == m2.ixp
-                    && m1.member != m2.member
-                    && w.ases[m1.member.index()].open_peering
-                    && w.ases[m2.member.index()].open_peering
-                    && m1.active_at(w.observation_month)
-                    && m2.active_at(w.observation_month)
-                {
-                    let e = oracle.pick_interconnect(m1.member, m2.member);
-                    assert!(e.is_some(), "no interconnect for co-members");
-                    found = true;
-                    break 'outer;
+    fn every_peer_pair_has_an_interconnect() {
+        for seed in [11, 42] {
+            let w = WorldConfig::small(seed).generate();
+            let oracle = RoutingOracle::new(&w);
+            for x in (0..w.ases.len()).map(AsId::from_index) {
+                for &y in oracle.peers_of(x) {
+                    assert!(oracle.pick_interconnect(x, y).is_some(), "{x} -> {y}");
                 }
             }
         }
-        assert!(found, "no open co-member pair in world");
     }
 
     #[test]

@@ -305,3 +305,53 @@ fn parallel_assembly_matches_pinned_ledger_under_env_threads() {
         par.threads
     );
 }
+
+/// (traces, hops, stars, IXP-LAN hops, fold of hop addresses and RTT
+/// bits) of the seed-42 public corpus — regenerate via test output.
+const EXPECTED_CORPUS_DIGEST: (usize, usize, usize, usize, u64) =
+    (2960, 18826, 516, 748, 4909091206016798861);
+
+/// The traceroute corpus is pinned below the pipeline: route tables,
+/// interconnect choice, hop expansion, loss and RTT draws all feed this
+/// digest, so a routing or latency change that happens to leave the
+/// per-step ledger untouched still trips it.
+#[test]
+fn corpus_digest_is_pinned() {
+    use opeer::measure::traceroute::build_corpus;
+    use opeer::topology::routing::{is_ixp_lan_iface, stable_hash};
+
+    let world = WorldConfig::small(SEED).generate();
+    let (_, _, corpus_cfg) = opeer::core::input::default_configs(SEED);
+    let corpus = build_corpus(&world, corpus_cfg);
+    let (mut hops, mut stars, mut lan_hops, mut fold) = (0, 0, 0, 0u64);
+    for tr in &corpus {
+        fold = stable_hash(&[
+            fold,
+            u64::from(u32::from(tr.src)),
+            u64::from(u32::from(tr.dst)),
+        ]);
+        for hop in &tr.hops {
+            hops += 1;
+            match hop {
+                None => {
+                    stars += 1;
+                    fold = stable_hash(&[fold, u64::MAX]);
+                }
+                Some(s) => {
+                    if world
+                        .iface_by_addr(s.addr)
+                        .is_some_and(|i| is_ixp_lan_iface(&world, i))
+                    {
+                        lan_hops += 1;
+                    }
+                    fold = stable_hash(&[fold, u64::from(u32::from(s.addr)), s.rtt_ms.to_bits()]);
+                }
+            }
+        }
+    }
+    let actual = (corpus.len(), hops, stars, lan_hops, fold);
+    assert_eq!(
+        actual, EXPECTED_CORPUS_DIGEST,
+        "corpus digest drifted; actual: {actual:?}"
+    );
+}
